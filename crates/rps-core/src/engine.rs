@@ -50,6 +50,23 @@ pub trait RangeSumEngine<T: GroupValue> {
         Ok(())
     }
 
+    /// Adds each `(coords, delta)` of `updates` — the unit a server's
+    /// batch request carries and a write-ahead log appends as one run.
+    ///
+    /// Default: every coordinate is checked before the first update, then
+    /// one [`Self::update`] per record, so a batch that returns an error
+    /// changed nothing. Engines that apply a batch as one unit (one
+    /// published version for [`crate::VersionedEngine`]) override it.
+    fn update_batch(&mut self, updates: &[(Vec<usize>, T)]) -> Result<(), NdError> {
+        for (coords, _) in updates {
+            self.shape().check(coords)?;
+        }
+        for (coords, delta) in updates {
+            self.update(coords, delta.clone())?;
+        }
+        Ok(())
+    }
+
     /// Running cell-access counters.
     fn stats(&self) -> CostStats;
 

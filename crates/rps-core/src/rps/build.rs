@@ -35,16 +35,23 @@ pub fn relative_prefix_sums<T: GroupValue>(a: &NdCube<T>, grid: &BoxGrid) -> NdC
 /// summed state when subtracted.
 pub fn inverse_relative_prefix_sums<T: GroupValue>(rp: &NdCube<T>, grid: &BoxGrid) -> NdCube<T> {
     let mut a = rp.clone();
-    let shape = a.shape().clone();
+    inverse_relative_prefix_sums_in_place(a.as_mut_slice(), grid);
+    a
+}
+
+/// [`inverse_relative_prefix_sums`] over a caller-owned row-major RP
+/// buffer of `grid`'s cube shape, so a caller that already assembled
+/// the buffer pays no second copy.
+pub(crate) fn inverse_relative_prefix_sums_in_place<T: GroupValue>(data: &mut [T], grid: &BoxGrid) {
+    let shape = grid.cube_shape();
     for dim in (0..shape.ndim()).rev() {
         crate::prefix::sweep_dim_backward(
-            a.as_mut_slice(),
+            data,
             shape.strides()[dim],
             shape.dim(dim),
             grid.box_size()[dim],
         );
     }
-    a
 }
 
 /// Builds the overlay (anchors + borders) for `a`.

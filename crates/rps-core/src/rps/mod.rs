@@ -26,6 +26,7 @@ mod parallel;
 mod scratch;
 mod update;
 
+pub(crate) use build::inverse_relative_prefix_sums_in_place;
 pub use build::{
     build_overlay, build_overlay_from_p, inverse_relative_prefix_sums, relative_prefix_sums,
 };

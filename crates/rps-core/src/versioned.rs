@@ -49,11 +49,13 @@ use crate::sync_compat::{Arc, AtomicU64, Mutex, Ordering, RwLock};
 use ndcube::{NdCube, NdError, Region, Shape};
 
 use crate::corners::range_sum_from_prefix_with;
+use crate::engine::RangeSumEngine;
 use crate::rps::{
-    effective_threads, kernels, overlay_prefix_part_src, overlay_range_walk, overlay_update_walk,
-    rp_range_box, slab_sizes, with_scratch, BoxGrid, KernelScratch, OverlaySource, RpsEngine,
-    Scratch,
+    effective_threads, inverse_relative_prefix_sums_in_place, kernels, overlay_prefix_part_src,
+    overlay_range_walk, overlay_update_walk, rp_range_box, slab_sizes, with_scratch, BoxGrid,
+    KernelScratch, OverlaySource, RpsEngine, Scratch,
 };
+use crate::stats::CostStats;
 use crate::value::GroupValue;
 
 /// Publication-ring capacity. A reader that loads `current` can fall at
@@ -163,6 +165,26 @@ impl<T: GroupValue> Version<T> {
     /// The cube shape.
     pub fn shape(&self) -> &Shape {
         &self.data.shape
+    }
+
+    /// Overlay box size per dimension (the RP geometry).
+    pub fn box_size(&self) -> &[usize] {
+        self.data.grid.box_size()
+    }
+
+    /// Recovers the data cube `A` this version represents — the same
+    /// result as [`RpsEngine::to_cube`] after the same updates. The RP
+    /// slabs are copied once into one row-major buffer and the box-local
+    /// prefix sweeps are inverted in place: O(d·N), no point queries.
+    pub fn to_cube(&self) -> NdCube<T> {
+        let mut cells = Vec::with_capacity(self.data.shape.len());
+        for slab in &self.data.rp_slabs {
+            cells.extend_from_slice(slab);
+        }
+        inverse_relative_prefix_sums_in_place(&mut cells, &self.data.grid);
+        NdCube::from_vec(self.data.shape.dims(), cells)
+            // lint:allow(L2): the RP slabs tile the cube shape row by row
+            .expect("view dims match cell count")
     }
 
     /// Range-sum query against this version (the paper's O(1) corner
@@ -900,6 +922,59 @@ impl<T: GroupValue> VersionedEngine<T> {
     }
 }
 
+/// The engine-trait face of the versioned engine, so generic wrappers
+/// (the durable WAL wrapper above all) drive the same cube readers pin.
+/// Every update publishes through the copy-on-write path; a batch is one
+/// version.
+impl<T: GroupValue> RangeSumEngine<T> for VersionedEngine<T> {
+    fn name(&self) -> &'static str {
+        "versioned-rps"
+    }
+
+    fn shape(&self) -> &Shape {
+        &self.inner.shape
+    }
+
+    fn query(&self, region: &Region) -> Result<T, NdError> {
+        VersionedEngine::query(self, region)
+    }
+
+    fn update(&mut self, coords: &[usize], delta: T) -> Result<(), NdError> {
+        VersionedEngine::update(self, coords, delta)
+    }
+
+    fn range_update(&mut self, region: &Region, delta: T) -> Result<(), NdError> {
+        VersionedEngine::range_update(self, region, delta)
+    }
+
+    fn update_batch(&mut self, updates: &[(Vec<usize>, T)]) -> Result<(), NdError> {
+        self.apply_batch(updates)
+    }
+
+    /// Queries, updates and cells written; reads are not counted on the
+    /// lock-free path.
+    fn stats(&self) -> CostStats {
+        CostStats {
+            cell_reads: 0,
+            cell_writes: self.write_count(),
+            queries: self.query_count(),
+            updates: self.update_count(),
+        }
+    }
+
+    fn reset_stats(&self) {
+        self.inner.queries.store(0, Ordering::Relaxed);
+        self.inner.updates.store(0, Ordering::Relaxed);
+        self.inner.cell_writes.store(0, Ordering::Relaxed);
+    }
+
+    fn storage_cells(&self) -> usize {
+        let snap = self.snapshot();
+        let slab_cells = |slabs: &[Arc<Vec<T>>]| slabs.iter().map(|s| s.len()).sum::<usize>();
+        slab_cells(&snap.data.ov_slabs) + slab_cells(&snap.data.rp_slabs)
+    }
+}
+
 impl<T: GroupValue + Send + Sync> VersionedEngine<T> {
     /// One-shot sharded batch query against the current version. The
     /// writer is never blocked: the batch runs against an immutable
@@ -1291,6 +1366,63 @@ mod tests {
             let expect = serial.query(&r).unwrap() + if x == 16 { 100 } else { 0 };
             assert_eq!(snap.query(&r).unwrap(), expect, "prefix to {x}");
         }
+    }
+
+    #[test]
+    fn to_cube_matches_serial_engine_2d_and_ragged_3d() {
+        let mut serial = RpsEngine::from_cube_uniform(&paper_array_a(), 3).unwrap();
+        let v = paper_versioned();
+        for (i, c) in [[0, 0], [4, 7], [8, 8], [3, 3]].iter().enumerate() {
+            let delta = 5 - i64::try_from(i).unwrap() * 3;
+            serial.update(c, delta).unwrap();
+            v.update(c, delta).unwrap();
+        }
+        let r = Region::new(&[1, 2], &[6, 8]).unwrap();
+        serial.range_update(&r, 2).unwrap();
+        v.range_update(&r, 2).unwrap();
+        assert_eq!(v.snapshot().to_cube(), serial.to_cube());
+
+        // d = 3 with ragged trailing boxes in every dimension.
+        let a = NdCube::from_fn(&[7, 5, 4], |c| (c[0] * 20 + c[1] * 4 + c[2]) as i64).unwrap();
+        let mut serial = RpsEngine::from_cube_with_box_size(&a, &[3, 2, 3]).unwrap();
+        let v = VersionedEngine::new(RpsEngine::from_cube_with_box_size(&a, &[3, 2, 3]).unwrap());
+        let snap0 = v.snapshot();
+        for i in 0..30usize {
+            let c = [i % 7, (i * 3) % 5, (i * 5) % 4];
+            let delta = i64::try_from(i).unwrap() % 9 - 4;
+            serial.update(&c, delta).unwrap();
+            v.update(&c, delta).unwrap();
+        }
+        assert_eq!(v.snapshot().to_cube(), serial.to_cube());
+        assert_eq!(v.snapshot().box_size(), &[3, 2, 3]);
+        // An older version still recovers its own cube.
+        assert_eq!(snap0.to_cube(), a);
+    }
+
+    /// Drives an engine only through the trait, as generic wrappers do.
+    fn drive<E: RangeSumEngine<i64>>(e: &mut E) {
+        e.update(&[1, 1], 4).unwrap();
+        e.range_update(&Region::new(&[0, 0], &[1, 2]).unwrap(), 1)
+            .unwrap();
+        e.update_batch(&[(vec![2, 2], 3), (vec![3, 0], -2)])
+            .unwrap();
+        assert!(e.update_batch(&[(vec![0, 0], 9), (vec![4, 4], 1)]).is_err());
+    }
+
+    #[test]
+    fn trait_surface_matches_serial_engine() {
+        let mut serial = RpsEngine::<i64>::zeros(&[4, 4]).unwrap();
+        let mut v = VersionedEngine::<i64>::zeros(&[4, 4]).unwrap();
+        drive(&mut serial);
+        drive(&mut v);
+        assert_eq!(v.materialize(), serial.materialize());
+        // Point, range and batch each publish exactly one version; the
+        // rejected batch publishes none.
+        assert_eq!(v.current_version(), 3);
+        assert_eq!(RangeSumEngine::stats(&v).updates, 4);
+        assert_eq!(v.storage_cells(), serial.storage_cells());
+        v.reset_stats();
+        assert_eq!(RangeSumEngine::stats(&v), CostStats::default());
     }
 
     #[test]

@@ -10,6 +10,8 @@
 //! work, cuts a final checkpoint per durable tenant, prints the drain
 //! report and exits 0. See docs/OPERATIONS.md for the runbook.
 
+use std::fmt::Write as _;
+use std::io::Write as _;
 use std::process::ExitCode;
 
 use rps_serve::{Persistence, Server, ServerConfig, TenantQuota};
@@ -123,6 +125,17 @@ fn parse_options(argv: &[String]) -> Result<Options, String> {
     })
 }
 
+/// Writes `text` to stdout through one lock. A closed stdout — the
+/// parent stopped reading — is not a server failure, so `BrokenPipe` is
+/// tolerated; any other write error is reported.
+fn print_stdout(text: &str) -> Result<(), String> {
+    let mut out = std::io::stdout().lock();
+    match out.write_all(text.as_bytes()).and_then(|()| out.flush()) {
+        Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => Err(format!("write stdout: {e}")),
+        _ => Ok(()),
+    }
+}
+
 fn serve(options: Options) -> Result<(), String> {
     if options.timing {
         rps_obs::set_timing(true);
@@ -134,16 +147,17 @@ fn serve(options: Options) -> Result<(), String> {
             .create_tenant(name, dims)
             .map_err(|e| format!("tenant `{name}`: {e}"))?;
     }
-    println!("rps-serve listening on {}", server.local_addr());
+    print_stdout(&format!("rps-serve listening on {}\n", server.local_addr()))?;
     let report = server.run().map_err(|e| format!("serve loop: {e}"))?;
-    println!(
-        "drained: {} workers joined, {} final checkpoints",
+    let mut text = format!(
+        "drained: {} workers joined, {} final checkpoints\n",
         report.workers_joined,
         report.checkpoints.len()
     );
     for (tenant, lsn) in &report.checkpoints {
-        println!("  checkpoint {tenant} @ lsn {lsn}");
+        writeln!(text, "  checkpoint {tenant} @ lsn {lsn}").map_err(|e| e.to_string())?;
     }
+    print_stdout(&text)?;
     for tenant in &report.checkpoint_failures {
         eprintln!("  checkpoint FAILED for {tenant} (state remains WAL-recoverable)");
     }

@@ -1,14 +1,21 @@
-//! Named per-tenant cubes: a lock-free read engine, an optional
-//! durable write path, and admission state.
+//! Named per-tenant cubes: one lock-free read engine per tenant, an
+//! optional durable write path over that same engine, and admission
+//! state.
 //!
-//! Reads never take a tenant lock — they run against
-//! [`VersionedEngine`] published snapshots (PR 7's MVCC-lite path).
-//! Writes serialize per tenant behind the durable mutex: the WAL append
-//! happens first, then the same delta is applied to the versioned
-//! engine and published, then the snapshot policy is consulted. The
-//! versioned engine therefore never reflects an update the WAL could
+//! Each tenant holds exactly one cube, a [`VersionedEngine`]. Reads
+//! never take a tenant lock — they pin its published versions (the
+//! MVCC-lite path). A durable tenant's [`DurableEngine`] wraps that very
+//! engine, so a write is WAL append → one copy-on-write publish →
+//! snapshot-policy check, all under the per-tenant durable mutex. The
+//! published state therefore never reflects an update the WAL could
 //! lose, and a crash between WAL append and publish is repaired by
-//! recovery exactly like any other torn write.
+//! recovery exactly like any other torn write. Checkpoints capture the
+//! current version ([`rps_core::Version::to_cube`]).
+//!
+//! Provisioning a durable tenant recovers into a plain [`RpsEngine`]
+//! (snapshot load plus in-place WAL replay) and then moves that engine
+//! into the [`VersionedEngine`] as its version 0 — one publish, however
+//! long the replayed tail.
 //!
 //! The registry hosts up to `max_tenants` tenants; provisioning one
 //! past the cap evicts the least-recently-used tenant (after a
@@ -33,20 +40,36 @@ use rps_storage::{
 use crate::quota::{QuotaState, TenantQuota};
 use crate::wire::{RejectCode, TenantStats};
 
-/// The durable half of a tenant: WAL-backed engine plus its snapshot
-/// directory, serialized behind one mutex (writes are per-tenant
-/// serial by design — the paper's update cost dominates the lock).
+/// The durable half of a tenant: the WAL wrapped around the tenant's
+/// versioned engine, plus its snapshot directory, serialized behind one
+/// mutex (writes are per-tenant serial by design — the paper's update
+/// cost dominates the lock).
 #[derive(Debug)]
 pub struct DurableTenant {
-    engine: DurableEngine<RpsEngine<i64>>,
+    engine: DurableEngine<VersionedEngine<i64>>,
     store: FsSnapshotDir,
     last_checkpoint_lsn: u64,
+}
+
+impl DurableTenant {
+    /// Cuts a checkpoint when the snapshot policy's trigger fires.
+    fn maybe_checkpoint(&mut self) -> Result<(), ServeError> {
+        // lint:allow(L7): the WAL-first contract requires the policy-
+        // driven checkpoint to run under the same per-tenant write lock
+        // that ordered the update; snapshot I/O here is the feature.
+        if let Some(lsn) = self.engine.maybe_checkpoint(&mut self.store)? {
+            self.last_checkpoint_lsn = lsn;
+        }
+        Ok(())
+    }
 }
 
 /// One hosted cube.
 #[derive(Debug)]
 pub struct Tenant {
     name: String,
+    /// The tenant's cube. For a durable tenant this is a second handle
+    /// to the engine inside `durable` (an `Arc` clone, not a copy).
     versioned: VersionedEngine<i64>,
     durable: Option<Mutex<DurableTenant>>,
     quota: QuotaState,
@@ -62,6 +85,8 @@ impl Tenant {
     }
 
     /// The lock-free read/write engine (reads pin published versions).
+    /// On a durable tenant it is the cube the WAL protects, so writes
+    /// belong on [`Tenant::update`] / [`Tenant::batch_update`].
     #[must_use]
     pub fn versioned(&self) -> &VersionedEngine<i64> {
         &self.versioned
@@ -79,56 +104,31 @@ impl Tenant {
         self.durable.is_some()
     }
 
-    /// Applies one point update: WAL-first when durable, then the
-    /// versioned publish.
+    /// Applies one point update and publishes it: WAL-first when
+    /// durable.
     pub fn update(&self, coords: &[usize], delta: i64) -> Result<(), ServeError> {
-        if let Some(durable) = &self.durable {
-            let mut d = lock_durable(durable);
-            d.engine.update(coords, delta)?;
+        let Some(durable) = &self.durable else {
             self.versioned.update(coords, delta)?;
-            self.versioned.flush();
-            let DurableTenant {
-                engine,
-                store,
-                last_checkpoint_lsn,
-            } = &mut *d;
-            // lint:allow(L7): the WAL-first contract requires the policy-
-            // driven checkpoint to run under the same per-tenant write lock
-            // that ordered the update; snapshot I/O here is the feature.
-            if let Some(lsn) = engine.maybe_checkpoint(store)? {
-                *last_checkpoint_lsn = lsn;
-            }
-        } else {
-            self.versioned.update(coords, delta)?;
-            self.versioned.flush();
-        }
-        Ok(())
+            return Ok(());
+        };
+        let mut d = lock_durable(durable);
+        d.engine.update(coords, delta)?;
+        d.maybe_checkpoint()
     }
 
-    /// Applies a batch atomically on both paths: readers observe all
-    /// updates or none, and the durable side validates every record
-    /// before the first WAL append (rolling the whole batch back on any
-    /// append failure) — so a rejected batch leaves no durable trace to
-    /// reappear at the next checkpoint or restart.
+    /// Applies a batch atomically as one published version: readers
+    /// observe all updates or none, and the durable path validates every
+    /// record before the first WAL append (rolling the whole batch back
+    /// on any append failure) — so a rejected batch leaves no durable
+    /// trace to reappear at the next checkpoint or restart.
     pub fn batch_update(&self, updates: &[(Vec<usize>, i64)]) -> Result<(), ServeError> {
-        if let Some(durable) = &self.durable {
-            let mut d = lock_durable(durable);
-            d.engine.update_batch(updates)?;
+        let Some(durable) = &self.durable else {
             self.versioned.apply_batch(updates)?;
-            let DurableTenant {
-                engine,
-                store,
-                last_checkpoint_lsn,
-            } = &mut *d;
-            // lint:allow(L7): see Tenant::update — checkpointing is the
-            // reason this lock exists.
-            if let Some(lsn) = engine.maybe_checkpoint(store)? {
-                *last_checkpoint_lsn = lsn;
-            }
-        } else {
-            self.versioned.apply_batch(updates)?;
-        }
-        Ok(())
+            return Ok(());
+        };
+        let mut d = lock_durable(durable);
+        d.engine.update_batch(updates)?;
+        d.maybe_checkpoint()
     }
 
     /// Forces a durable checkpoint, returning its LSN.
@@ -384,7 +384,8 @@ impl Registry {
             Persistence::Ephemeral => (VersionedEngine::zeros(dims)?, None),
             Persistence::Durable { root, policy } => {
                 let (d, _report) = recover_tenant(root, name, dims, *policy)?;
-                let versioned = VersionedEngine::new(d.engine.engine().clone());
+                // A second handle to the one cube the WAL writes into.
+                let versioned = VersionedEngine::clone(d.engine.engine());
                 (versioned, Some(Mutex::new(d)))
             }
         };
@@ -428,9 +429,12 @@ fn recover_tenant(
     })?;
     let wal_path = dir.join("wal.log");
     let dims_owned = dims.to_vec();
-    let (mut engine, report) = DurableEngine::recover(&snap_dir, &wal_path, move || {
+    let (engine, report) = DurableEngine::recover(&snap_dir, &wal_path, move || {
         RpsEngine::zeros(&dims_owned).map_err(StorageError::Engine)
     })?;
+    // Replay ran in place on the plain engine; the cube now moves into
+    // the versioned engine as version 0 — one publish for the whole tail.
+    let mut engine = engine.map_engine(VersionedEngine::new);
     engine.set_snapshot_policy(policy);
     let store = FsSnapshotDir::open(&snap_dir)?;
     let last_checkpoint_lsn = store.list()?.last().copied().unwrap_or(0);
@@ -521,6 +525,34 @@ mod tests {
         let sum = snap.query(&Region::new(&[0, 0], &[7, 7]).unwrap()).unwrap();
         assert_eq!(sum, 20, "snapshot base + WAL tail must both recover");
         assert_eq!(t.stats().last_checkpoint_lsn, 2);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn durable_writes_publish_once_and_replay_publishes_nothing() {
+        let root = tmp("one-cube");
+        let persistence = Persistence::Durable {
+            root: root.clone(),
+            policy: SnapshotPolicy::default(),
+        };
+        {
+            let reg = Registry::new(persistence.clone(), TenantQuota::default(), 0);
+            reg.create("a", &[8, 8]).unwrap();
+            let t = reg.get("a").unwrap();
+            for i in 0..20 {
+                t.update(&[i % 8, (i * 3) % 8], 1).unwrap();
+            }
+            t.batch_update(&[(vec![0, 0], 2), (vec![7, 7], 3)]).unwrap();
+            // One version per point update, one for the whole batch.
+            assert_eq!(t.versioned().current_version(), 21);
+        }
+        let reg = Registry::new(persistence, TenantQuota::default(), 0);
+        reg.create("a", &[8, 8]).unwrap();
+        let t = reg.get("a").unwrap();
+        // The 22-record WAL tail replayed onto the plain engine; the
+        // recovered cube is published once, as version 0.
+        assert_eq!(t.versioned().current_version(), 0);
+        assert_eq!(t.versioned().total(), 25);
         let _ = std::fs::remove_dir_all(&root);
     }
 

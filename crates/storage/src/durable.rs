@@ -47,7 +47,7 @@ use rps_core::{CostStats, RangeSumEngine};
 use crate::error::{CheckpointError, RetryPolicy, StorageError};
 use crate::snapshot::{
     decode_snapshot, encode_snapshot, FsSnapshotDir, RecoveryReport, RecoverySource,
-    SnapshotCheckFailed, SnapshotPolicy, SnapshotState, SnapshotStore,
+    SnapshotCheckFailed, SnapshotPolicy, SnapshotRestore, SnapshotState, SnapshotStore,
 };
 use crate::wal::{FsLogFile, LogFile, Wal, WalRecord};
 
@@ -127,7 +127,7 @@ impl<E: RangeSumEngine<i64>> DurableEngine<E, FsLogFile> {
     }
 }
 
-impl<E: RangeSumEngine<i64> + SnapshotState> DurableEngine<E, FsLogFile> {
+impl<E: RangeSumEngine<i64> + SnapshotRestore> DurableEngine<E, FsLogFile> {
     /// Recovers from the snapshot directory at `dir` plus the WAL at
     /// `wal_path`: newest valid snapshot wins, corrupt ones are
     /// quarantined, and with no usable snapshot the whole WAL is
@@ -324,12 +324,12 @@ impl<E: RangeSumEngine<i64>, L: LogFile> DurableEngine<E, L> {
                 return Err(e);
             }
         }
-        // Shape-checked above, so structural application cannot fail.
-        for (coords, delta) in updates {
-            self.engine
-                .update(coords, *delta)
-                .map_err(StorageError::Engine)?;
-        }
+        // Shape-checked above, so structural application cannot fail; the
+        // engine takes the batch as one unit (one published version for a
+        // versioned engine).
+        self.engine
+            .update_batch(updates)
+            .map_err(StorageError::Engine)?;
         self.records_since_checkpoint += u64::try_from(updates.len()).unwrap_or(u64::MAX);
         Ok(())
     }
@@ -393,6 +393,23 @@ impl<E: RangeSumEngine<i64>, L: LogFile> DurableEngine<E, L> {
     /// The wrapped engine.
     pub fn engine(&self) -> &E {
         &self.engine
+    }
+
+    /// Moves the wrapped engine through `f`, keeping the WAL, its LSN
+    /// counter, the policy and the checkpoint trigger state. Recovery
+    /// replays onto a plain engine in place; this then hands the result
+    /// to the structure that serves it (e.g. `VersionedEngine::new`)
+    /// without a copy and without one publish per replayed record.
+    pub fn map_engine<E2>(self, f: impl FnOnce(E) -> E2) -> DurableEngine<E2, L> {
+        DurableEngine {
+            engine: f(self.engine),
+            wal: self.wal,
+            sync_every_append: self.sync_every_append,
+            retry: self.retry,
+            policy: self.policy,
+            wal_len_at_checkpoint: self.wal_len_at_checkpoint,
+            records_since_checkpoint: self.records_since_checkpoint,
+        }
     }
 
     /// Engine cost counters.
@@ -467,7 +484,9 @@ impl<E: RangeSumEngine<i64> + SnapshotState, L: LogFile> DurableEngine<E, L> {
             Ok(None)
         }
     }
+}
 
+impl<E: RangeSumEngine<i64> + SnapshotRestore, L: LogFile> DurableEngine<E, L> {
     /// Recovers from a snapshot chain plus the WAL, degrading
     /// gracefully:
     ///

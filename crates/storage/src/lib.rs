@@ -60,7 +60,7 @@ pub use latency::LatencyModel;
 pub use pool::{BufferPool, IoStats};
 pub use snapshot::{
     crc32, decode_snapshot, encode_snapshot, peek_header, FsSnapshotDir, RecoveryReport,
-    RecoverySource, SnapshotCheckFailed, SnapshotHeader, SnapshotPolicy, SnapshotState,
-    SnapshotStore, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
+    RecoverySource, SnapshotCheckFailed, SnapshotHeader, SnapshotPolicy, SnapshotRestore,
+    SnapshotState, SnapshotStore, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
 };
 pub use wal::{decode_records, FsLogFile, LogFile, Wal, WalRecord, RANGE_FLAG};

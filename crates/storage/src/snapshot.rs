@@ -60,8 +60,11 @@ const MAX_SNAPSHOT_CELLS: u64 = 1 << 28;
 // ---------------------------------------------------------------------------
 // CRC32 (IEEE 802.3, reflected), dependency-free.
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// Slicing-by-8 lookup tables: `T[0]` is the classic bytewise table, and
+/// `T[k][b]` is the CRC of byte `b` followed by `k` zero bytes, so eight
+/// input bytes fold into the register with eight independent lookups.
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -74,21 +77,48 @@ const fn crc32_table() -> [u32; 256] {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut i = 0;
+    while i < 256 {
+        let mut k = 1;
+        while k < 8 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            k += 1;
+        }
+        i += 1;
+    }
+    tables
 }
 
-static CRC32_TABLE: [u32; 256] = crc32_table();
+static CRC32_TABLES: [[u32; 256]; 8] = crc32_tables();
 
 /// CRC32 (IEEE 802.3, the `cksum`/zlib polynomial) of `bytes`.
+///
+/// Slicing-by-8: whole 8-byte chunks take one lookup per byte into
+/// independent tables (no serial dependency between them), the tail
+/// runs bytewise. Bit-identical to the one-table bytewise loop.
 #[must_use]
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
     let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        let idx = ((crc ^ u32::from(b)) & 0xFF) as usize;
-        crc = (crc >> 8) ^ CRC32_TABLE[idx];
+    let mut chunks = bytes.chunks_exact(8);
+    for c in &mut chunks {
+        let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+        let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xFF) as usize];
     }
     !crc
 }
@@ -230,13 +260,11 @@ pub fn encode_snapshot(
         });
     }
 
-    let mut payload = Vec::with_capacity(cells.len() * 8);
-    for &c in cells {
-        payload.extend_from_slice(&c.to_le_bytes());
-    }
-    let payload_crc = crc32(&payload);
-
-    let mut out = Vec::with_capacity(SnapshotHeader::encoded_len(ndim) + payload.len() + 4);
+    // One buffer, sized up front: the header goes in with both CRC
+    // fields zeroed, the cells straight after it, and the CRCs are
+    // patched in once the payload slice they cover is complete.
+    let header_len = SnapshotHeader::encoded_len(ndim);
+    let mut out = Vec::with_capacity(header_len + cells.len() * 8 + 4);
     out.extend_from_slice(&SNAPSHOT_MAGIC);
     out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
     out.extend_from_slice(&lsn.to_le_bytes());
@@ -247,10 +275,14 @@ pub fn encode_snapshot(
     for &k in box_size {
         out.extend_from_slice(&(k as u32).to_le_bytes());
     }
-    out.extend_from_slice(&payload_crc.to_le_bytes());
-    let header_crc = crc32(&out);
-    out.extend_from_slice(&header_crc.to_le_bytes());
-    out.extend_from_slice(&payload);
+    out.extend_from_slice(&[0u8; 8]); // payload_crc, header_crc
+    for &c in cells {
+        out.extend_from_slice(&c.to_le_bytes());
+    }
+    let payload_crc = crc32(&out[header_len..]);
+    out[header_len - 8..header_len - 4].copy_from_slice(&payload_crc.to_le_bytes());
+    let header_crc = crc32(&out[..header_len - 4]);
+    out[header_len - 4..header_len].copy_from_slice(&header_crc.to_le_bytes());
     out.extend_from_slice(&payload_crc.to_le_bytes());
     Ok(out)
 }
@@ -353,12 +385,22 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<(SnapshotHeader, Vec<i64>), Snaps
 // ---------------------------------------------------------------------------
 // Engine capture/restore.
 
-/// State an engine can checkpoint into (and restore from) an
-/// `RPSSNAP1` payload: the row-major recovered cube plus the box
-/// geometry needed to rebuild the RP/overlay decomposition.
-pub trait SnapshotState: Sized {
+/// State an engine can checkpoint into an `RPSSNAP1` payload: the
+/// row-major recovered cube plus the box geometry needed to rebuild the
+/// RP/overlay decomposition.
+pub trait SnapshotState {
     /// (dims, box size, row-major cells) of the current state.
     fn capture(&self) -> (Vec<usize>, Vec<usize>, Vec<i64>);
+}
+
+/// An engine recovery can rebuild from a decoded snapshot and then
+/// replay the WAL tail onto in place.
+///
+/// [`rps_core::VersionedEngine`] deliberately captures but does not
+/// restore: replaying onto it would publish one version per record.
+/// Recovery restores a plain [`rps_core::RpsEngine`] instead and hands
+/// it over with [`crate::DurableEngine::map_engine`].
+pub trait SnapshotRestore: SnapshotState + Sized {
     /// Rebuilds an engine from a decoded snapshot.
     fn restore(dims: &[usize], box_size: &[usize], cells: Vec<i64>) -> Result<Self, StorageError>;
 }
@@ -372,7 +414,9 @@ impl SnapshotState for rps_core::RpsEngine<i64> {
             self.to_cube().into_vec(),
         )
     }
+}
 
+impl SnapshotRestore for rps_core::RpsEngine<i64> {
     fn restore(dims: &[usize], box_size: &[usize], cells: Vec<i64>) -> Result<Self, StorageError> {
         let cube = ndcube::NdCube::from_vec(dims, cells).map_err(StorageError::Engine)?;
         rps_core::RpsEngine::from_cube_with_box_size(&cube, box_size).map_err(StorageError::Engine)
@@ -385,10 +429,26 @@ impl SnapshotState for rps_core::NaiveEngine<i64> {
         let dims = self.shape().dims().to_vec();
         (dims.clone(), dims, self.cube().clone().into_vec())
     }
+}
 
+impl SnapshotRestore for rps_core::NaiveEngine<i64> {
     fn restore(dims: &[usize], _box_size: &[usize], cells: Vec<i64>) -> Result<Self, StorageError> {
         let cube = ndcube::NdCube::from_vec(dims, cells).map_err(StorageError::Engine)?;
         Ok(rps_core::NaiveEngine::from_cube(cube))
+    }
+}
+
+impl SnapshotState for rps_core::VersionedEngine<i64> {
+    fn capture(&self) -> (Vec<usize>, Vec<usize>, Vec<i64>) {
+        // Updates buffered under a publish threshold are already in the
+        // WAL at the checkpoint LSN, so they belong in the capture too.
+        self.flush();
+        let version = self.snapshot();
+        (
+            version.shape().dims().to_vec(),
+            version.box_size().to_vec(),
+            version.to_cube().into_vec(),
+        )
     }
 }
 
@@ -615,6 +675,39 @@ impl fmt::Display for RecoveryReport {
 mod tests {
     use super::*;
 
+    /// The one-table bytewise CRC32 the slicing-by-8 version replaced,
+    /// kept as its oracle.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            crc = (crc >> 8) ^ CRC32_TABLES[0][((crc ^ u32::from(b)) & 0xFF) as usize];
+        }
+        !crc
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn crc32_slicing_by_8_equals_bytewise(
+            len in 0usize..=4096,
+            start in 0usize..8,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let mut x = seed | 1;
+            let buf: Vec<u8> = (0..start + len)
+                .map(|_| {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    (x >> 56) as u8
+                })
+                .collect();
+            let slice = &buf[start..];
+            proptest::prop_assert_eq!(crc32(slice), crc32_bytewise(slice));
+        }
+    }
+
     #[test]
     fn crc32_known_vectors() {
         // IEEE 802.3 check values.
@@ -771,5 +864,23 @@ mod tests {
         let restored = RpsEngine::<i64>::restore(&dims, &box_size, cells).unwrap();
         assert_eq!(restored.to_cube(), cube);
         assert_eq!(restored.grid().box_size(), &[3, 2]);
+    }
+
+    #[test]
+    fn versioned_capture_equals_serial_capture() {
+        use rps_core::{RangeSumEngine, RpsEngine, VersionedEngine};
+        let cube = ndcube::NdCube::from_fn(&[7, 5], |c| (c[0] * 10 + c[1]) as i64).unwrap();
+        let mut serial = RpsEngine::from_cube_with_box_size(&cube, &[3, 2]).unwrap();
+        let versioned = VersionedEngine::new(serial.clone()).with_publish_threshold(4);
+        for (c, d) in [([6, 4], 9), ([0, 0], -3), ([3, 2], 5)] {
+            serial.update(&c, d).unwrap();
+            versioned.update(&c, d).unwrap();
+        }
+        // The buffered (unpublished) updates are part of the capture.
+        assert_eq!(versioned.capture(), serial.capture());
+        assert_eq!(
+            encode_snapshot(3, &[7, 5], &[3, 2], &versioned.capture().2).unwrap(),
+            encode_snapshot(3, &[7, 5], &[3, 2], &serial.capture().2).unwrap()
+        );
     }
 }

@@ -11,7 +11,7 @@
 
 use ndcube::NdCube;
 use proptest::prelude::*;
-use rps_core::{NaiveEngine, RangeSumEngine, RpsEngine};
+use rps_core::{NaiveEngine, RangeSumEngine, RpsEngine, VersionedEngine};
 use rps_storage::{
     DurableEngine, FaultPlan, RecoverySource, SimLogFile, SimSnapshotStore, StorageError,
 };
@@ -301,5 +301,176 @@ proptest! {
                 "the rotted newest snapshot must be the quarantined one"
             );
         }
+    }
+}
+
+// ---------------------------------------------------------------------
+// The serving composition: the WAL wrapped around a VersionedEngine (the
+// engine lock-free readers pin), driven with point, range and batch
+// updates plus checkpoints, crashed, and recovered the way a server
+// re-provisions a tenant — snapshot + in-place replay onto a plain
+// RpsEngine, then `map_engine(VersionedEngine::new)`. Every cell must
+// equal a per-cell oracle, before the crash and after recovery.
+// ---------------------------------------------------------------------
+
+#[derive(Debug, Clone)]
+enum WriteOp {
+    Point(Vec<usize>, i64),
+    Range(Vec<usize>, Vec<usize>, i64),
+    Batch(Vec<(Vec<usize>, i64)>),
+}
+
+#[derive(Debug, Clone)]
+struct VersionedScenario {
+    dims: Vec<usize>,
+    ops: Vec<WriteOp>,
+    /// Cut a checkpoint after each of these op indices.
+    checkpoints: Vec<usize>,
+    /// Only ops[..crash_at] were issued before the crash.
+    crash_at: usize,
+    strict: bool,
+}
+
+fn versioned_scenario() -> impl Strategy<Value = VersionedScenario> {
+    (1usize..=3)
+        .prop_flat_map(|d| {
+            let coords = || proptest::collection::vec(0usize..64, d);
+            (
+                proptest::collection::vec(2usize..=6, d),
+                proptest::collection::vec(
+                    (
+                        0usize..3,
+                        coords(),
+                        coords(),
+                        proptest::collection::vec((coords(), -50i64..=50), 1..6),
+                        -50i64..=50,
+                    ),
+                    1..24,
+                ),
+                proptest::collection::vec(0usize..64, 0..4),
+                0usize..64,
+                any::<bool>(),
+            )
+        })
+        .prop_map(|(dims, raw_ops, cp_raw, crash_raw, strict)| {
+            let clamp =
+                |c: &[usize]| -> Vec<usize> { c.iter().zip(&dims).map(|(r, &m)| r % m).collect() };
+            let ops: Vec<WriteOp> = raw_ops
+                .into_iter()
+                .map(|(kind, a, b, batch, delta)| match kind {
+                    0 => WriteOp::Point(clamp(&a), delta),
+                    1 => {
+                        let (a, b) = (clamp(&a), clamp(&b));
+                        let lo = a.iter().zip(&b).map(|(x, y)| *x.min(y)).collect();
+                        let hi = a.iter().zip(&b).map(|(x, y)| *x.max(y)).collect();
+                        WriteOp::Range(lo, hi, delta)
+                    }
+                    _ => WriteOp::Batch(batch.iter().map(|(c, d)| (clamp(c), *d)).collect()),
+                })
+                .collect();
+            let n = ops.len();
+            let mut checkpoints: Vec<usize> = cp_raw.into_iter().map(|c| c % n).collect();
+            checkpoints.sort_unstable();
+            checkpoints.dedup();
+            VersionedScenario {
+                crash_at: crash_raw % (n + 1),
+                dims,
+                ops,
+                checkpoints,
+                strict,
+            }
+        })
+}
+
+/// The per-cell oracle: every op applied cell by cell to a dense cube.
+fn versioned_oracle(sc: &VersionedScenario) -> NdCube<i64> {
+    let mut model = NdCube::filled(&sc.dims, 0i64).unwrap();
+    let mut add = |c: &[usize], d: i64| {
+        let lin = model.shape().linear_unchecked(c);
+        *model.get_linear_mut(lin) += d;
+    };
+    for op in sc.ops.iter().take(sc.crash_at) {
+        match op {
+            WriteOp::Point(c, d) => add(c, *d),
+            WriteOp::Range(lo, hi, d) => {
+                for c in &ndcube::Region::new(lo, hi).unwrap() {
+                    add(&c, *d);
+                }
+            }
+            WriteOp::Batch(items) => {
+                for (c, d) in items {
+                    add(c, *d);
+                }
+            }
+        }
+    }
+    model
+}
+
+fn assert_cells_match(
+    engine: &impl RangeSumEngine<i64>,
+    oracle: &NdCube<i64>,
+    label: &str,
+    sc: &VersionedScenario,
+) {
+    for c in &oracle.shape().full_region() {
+        let got = engine.cell(&c).unwrap();
+        let want = oracle.get(&c);
+        assert_eq!(got, want, "{label}: cell {c:?} ({sc:?})");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn versioned_durable_recovery_equals_per_cell_oracle(sc in versioned_scenario()) {
+        let log = SimLogFile::new(FaultPlan::none(), 1);
+        let handle = log.handle();
+        let mut d = DurableEngine::open_log(VersionedEngine::<i64>::zeros(&sc.dims).unwrap(), log, 0)
+            .expect("fresh open");
+        d.set_sync_every_append(sc.strict);
+        let mut store = SimSnapshotStore::new(FaultPlan::none(), 1);
+        let mut records = 0u64;
+        for (i, op) in sc.ops.iter().take(sc.crash_at).enumerate() {
+            let version = d.engine().current_version();
+            match op {
+                WriteOp::Point(c, delta) => d.update(c, *delta),
+                WriteOp::Range(lo, hi, delta) => {
+                    d.range_update(&ndcube::Region::new(lo, hi).unwrap(), *delta)
+                }
+                WriteOp::Batch(items) => d.update_batch(items),
+            }
+            .expect("fault-free write");
+            // One publish per write, a batch included.
+            prop_assert_eq!(d.engine().current_version(), version + 1);
+            records += match op {
+                WriteOp::Batch(items) => items.len() as u64,
+                _ => 1,
+            };
+            if sc.checkpoints.contains(&i) {
+                prop_assert_eq!(d.checkpoint_to(&mut store).expect("checkpoint"), records);
+            }
+        }
+        let oracle = versioned_oracle(&sc);
+        // The live engine readers pin already holds every write.
+        assert_cells_match(d.engine(), &oracle, "live", &sc);
+        drop(d);
+
+        let fresh = || Ok::<_, StorageError>(RpsEngine::<i64>::zeros(&sc.dims)?);
+        let (recovered, report) =
+            DurableEngine::recover_with(&mut store, SimLogFile::from_bytes(handle.cache()), fresh)
+                .expect("recovery must succeed");
+        prop_assert_eq!(report.fallbacks(), 0);
+        let mut recovered = recovered.map_engine(VersionedEngine::new);
+        // The whole replayed tail is published once, as version 0.
+        prop_assert_eq!(recovered.engine().current_version(), 0);
+        prop_assert_eq!(recovered.last_lsn(), records);
+        assert_cells_match(recovered.engine(), &oracle, "recovered", &sc);
+        // The mapped engine keeps logging where the old one stopped.
+        let origin = vec![0; sc.dims.len()];
+        recovered.update(&origin, 7).expect("post-recovery write");
+        prop_assert_eq!(recovered.last_lsn(), records + 1);
+        prop_assert_eq!(recovered.engine().cell(&origin).unwrap(), oracle.get(&origin) + 7);
     }
 }
